@@ -12,7 +12,9 @@ graph, ranking by outgoing instead of incoming connections.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+import warnings
+
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.graph.graph import DiGraph
@@ -28,19 +30,20 @@ def _power_iteration(
 ) -> DataFrame:
     """Shared PR/PPR power iteration.
 
-    Dangling mass is redistributed along the teleport vector. Rather
-    than summing dangling vertices' scores every superstep, we use the
-    identity ``α·d = 1 − Σy`` where ``y = (1−α)t + α·A·x`` — the full
-    update is ``x' = y + (1 − Σy)·t``, one aggregate over the already-
-    checkpointed ``y`` (pregel's ``finalize`` hook). Graphs with no
-    dangling vertices skip the aggregate entirely.
+    Dangling mass is redistributed along the teleport vector:
+    ``x' = (1−α)t + α·(A·x + d·t)``, where ``d`` is the total score on
+    dangling vertices. ``d`` is a pregel aggregator, observed on each
+    superstep's checkpoint and read by the next superstep as a literal,
+    so it costs no extra Spark action.
 
     Args:
         g: the graph.
         teleport: ``(id, tele)`` probability vector (sums to 1), or
             ``None`` for the uniform vector (classic PageRank).
         alpha: damping factor — probability of following an out-edge.
-        max_iter, tol: convergence controls (L1).
+        max_iter, tol: convergence controls (L1). A run that stops at
+            ``max_iter`` with a delta above ``tol`` emits a
+            ``RuntimeWarning``.
 
     Returns:
         ``(id, score)`` summing to 1.
@@ -51,62 +54,45 @@ def _power_iteration(
     if n == 0:
         raise ValueError("graph has no vertices")
 
-    deg = g.out_degrees()
     if teleport is None:
         tele = g.vertices.select("id", F.lit(1.0 / n).alias("tele"))
     else:
         tele = g.vertices.select("id").join(
             teleport.select("id", "tele"), "id", "left"
         ).select("id", F.coalesce("tele", F.lit(0.0)).alias("tele"))
-    # State carries (id, value, out_degree, tele) so each superstep is a
-    # single join against the edge frame. The walk starts from the
-    # teleport vector (uniform for PR): nodes unreachable from the
-    # reference set then stay at exactly 0 instead of holding a slowly
-    # decaying α^k residual of a uniform start.
-    state = (
-        tele.select("id", F.col("tele").alias("value"))
-        .join(deg, "id")
-        .join(tele, "id")
-        .localCheckpoint(eager=True)
-    )
-    edges = g.edges.localCheckpoint(eager=True)
-    has_dangling = not state.filter(F.col("out_degree") == 0).isEmpty()
+    # The walk starts from the teleport vector (uniform for PR): nodes
+    # unreachable from the reference set then stay at exactly 0 instead
+    # of holding a slowly decaying α^k residual of a uniform start.
+    state = tele.select("id", F.col("tele").alias("value"), "tele")
 
-    def send(joined: DataFrame) -> DataFrame:
-        return joined.select(
-            "dst", (F.col("value") / F.col("out_degree")).alias("msg")
-        )
+    def send(rows: DataFrame) -> DataFrame:
+        return rows.select("dst", (F.col("value") / F.size("_out")).alias("msg"))
 
-    def update(cur: DataFrame, msgs: DataFrame) -> DataFrame:
-        return cur.join(msgs, "id", "left").select(
-            "id",
-            (
-                (1.0 - alpha) * F.col("tele")
-                + alpha * F.coalesce(F.col("msg"), F.lit(0.0))
-            ).alias("value"),
-            "out_degree",
-            "tele",
-        )
-
-    def renormalize(y: DataFrame) -> DataFrame:
-        missing = 1.0 - (y.agg(F.sum("value")).first()[0] or 0.0)
-        return y.select(
-            "id",
-            (F.col("value") + missing * F.col("tele")).alias("value"),
-            "out_degree",
-            "tele",
+    def update(aggs: dict[str, float]) -> Column:
+        return (1.0 - alpha) * F.col("tele") + alpha * (
+            F.coalesce(F.col("msg"), F.lit(0.0)) + aggs["dangling"] * F.col("tele")
         )
 
     res = pregel(
         state,
-        edges,
+        g.edges,
         send,
         update,
-        finalize=renormalize if has_dangling else None,
+        aggregators={
+            "dangling": F.sum(
+                F.when(F.col("_out").isNull(), F.col("value")).otherwise(0.0)
+            )
+        },
         max_iter=max_iter,
         tol=tol,
-        check_every=5,
     )
+    if not res.converged:
+        warnings.warn(
+            f"power iteration hit max_iter={max_iter} after {res.iterations} "
+            f"supersteps with L1 delta {res.delta:.3g} > tol={tol:g}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     return res.state.select("id", F.col("value").alias("score"))
 
 

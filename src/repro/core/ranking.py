@@ -32,8 +32,12 @@ def ranks(scores: DataFrame, *, ascending: bool = False) -> DataFrame:
 
 
 def top_k(scores: DataFrame, k: int) -> DataFrame:
-    """Top-``k`` rows by score (descending, id tie-break), with ``rank``."""
-    return ranks(scores).filter(F.col("rank") <= k)
+    """Top-``k`` rows by score (descending, id tie-break), with ``rank``.
+
+    A sort with a limit keeps only ``k`` rows per partition, so the
+    single-partition window in :func:`ranks` sees at most ``k`` rows.
+    """
+    return ranks(scores.orderBy(F.col("score").desc(), F.col("id").asc()).limit(k))
 
 
 def top_k_names(g: DiGraph, scores: DataFrame, k: int) -> list[str]:

@@ -2,27 +2,35 @@
 
 GraphX is JVM-only and unavailable from PySpark without external
 packages, so this module reimplements the superstep model with
-DataFrame joins and aggregations (the standard PySpark idiom for
-iterative vertex programs):
+DataFrame operations (the standard PySpark idiom for iterative vertex
+programs). As in Pregel, each vertex owns its out-edges: before the
+loop the edges are grouped by ``src`` once into an ``_out`` array on
+every state row. Each superstep is then one shuffle and one Spark
+action:
 
-each superstep:
-  1. **send**: join the vertex-state frame with the edge frame and emit
-     one message per edge (``send_msg`` builds the message column);
-  2. **aggregate**: group messages by destination and combine them
-     (``agg_msgs``, default ``sum``);
-  3. **update**: join aggregated messages back to vertex state and
-     produce the next state (``update``).
+  1. **send**: ``explode(_out)`` yields one ``(state…, dst)`` row per
+     out-edge, and ``send_msg`` turns it into a ``(dst, msg)`` message;
+  2. **combine**: the messages and the vertices' own rows (``msg``
+     NULL, current ``value`` kept) are unioned and grouped by ``id`` in
+     one shuffle; ``agg_msgs`` combines the messages, and groups
+     without an own row (messages to unknown ids) are dropped;
+  3. **update**: ``update`` is a column expression over the grouped
+     frame that gives the next ``value``; the previous one is carried
+     as ``_prev``.
 
-Convergence is the L1 distance between successive state vectors.
-Every iteration truncates lineage with ``localCheckpoint`` — without
-this, 30+ chained joins make Catalyst analysis time explode.
+The superstep ends in an eager ``localCheckpoint``, which truncates the
+lineage (without it, 30+ chained supersteps make Catalyst analysis time
+explode). Pregel's aggregators ride on that same job as observed
+metrics: the L1 delta ``Σ|value − _prev|`` that decides convergence,
+plus any named ``aggregators``, whose values the next superstep's
+``update`` reads as literals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import Column, DataFrame, Observation
 from pyspark.sql import functions as F
 
 
@@ -31,10 +39,11 @@ class PregelResult:
     """Outcome of a pregel run.
 
     Attributes:
-        state: final vertex-state DataFrame ``(id, value)``.
+        state: final vertex-state DataFrame ``(id, value, ...)``, with
+            the columns of the initial state.
         iterations: supersteps executed.
-        delta: final L1 distance between the last two states
-            (``float('inf')`` if only one iteration ran with no check).
+        delta: L1 distance between the last two states, observed on
+            every superstep's checkpoint.
         converged: whether ``delta <= tol`` stopped the loop (as opposed
             to hitting ``max_iter``).
     """
@@ -45,79 +54,98 @@ class PregelResult:
     converged: bool
 
 
+def _checkpoint(df: DataFrame, metrics: Mapping[str, Column]) -> tuple[DataFrame, dict]:
+    """Eagerly checkpoint ``df`` and return the metrics observed on that job."""
+    if not metrics:
+        return df.localCheckpoint(eager=True), {}
+    obs = Observation()
+    cp = df.observe(obs, *(c.alias(n) for n, c in metrics.items())).localCheckpoint(
+        eager=True
+    )
+    return cp, obs.get
+
+
 def pregel(
     state: DataFrame,
     edges: DataFrame,
     send_msg: Callable[[DataFrame], DataFrame],
-    update: Callable[[DataFrame, DataFrame], DataFrame],
+    update: Callable[[Mapping[str, float]], Column],
     *,
-    finalize: Callable[[DataFrame], DataFrame] | None = None,
     agg_msgs: Callable[[Column], Column] = F.sum,
+    aggregators: Mapping[str, Column] | None = None,
     max_iter: int = 50,
     tol: float = 1e-9,
-    check_every: int = 1,
 ) -> PregelResult:
     """Run supersteps until convergence or ``max_iter``.
 
     Args:
         state: initial vertex state, columns ``(id, value)`` with
-            ``value`` double.
+            ``value`` double, plus any constant per-vertex columns. The
+            engine adds ``_out``, the vertex's out-neighbours (NULL for a
+            vertex without out-edges), which ``send_msg``, ``update``
+            and ``aggregators`` may read.
         edges: edge frame, columns ``(src, dst)``.
-        send_msg: maps the frame ``state ⋈ edges`` (columns ``id``,
-            ``value``, plus any state columns, and ``dst``) to a frame
-            ``(dst, msg)`` — one message per edge.
-        update: maps ``(state, msgs)`` — where ``msgs`` has columns
-            ``(id, msg)``, one row per vertex that received messages —
-            to the next state frame ``(id, value, ...)``.
-        finalize: optional cheap post-step applied to the *checkpointed*
-            update result (e.g. PageRank's dangling-mass renormalization,
-            which needs an aggregate of the new state). Runs inside the
-            superstep but outside the checkpoint, so aggregates it
-            triggers don't recompute the join.
+        send_msg: maps a frame with every state column plus ``dst``, one
+            row per out-edge, to a frame ``(dst, msg)``.
+        update: maps the previous superstep's aggregator values (by
+            name) to a column giving the next ``value``. The column reads
+            ``msg`` (``agg_msgs`` over the vertex's messages, NULL when
+            none arrived), the current ``value`` and the other state
+            columns.
         agg_msgs: aggregate applied to the per-destination ``msg``
             column (default: sum).
+        aggregators: named aggregate columns over the state frame. They
+            are observed on the initial state and after every
+            superstep, and the values reach the next ``update``.
         max_iter: superstep cap.
         tol: L1 convergence threshold.
-        check_every: compute the (action-triggering) L1 delta only every
-            this many supersteps.
 
     Returns:
         A :class:`PregelResult`.
     """
-    cur = state.localCheckpoint(eager=True)
+    aggregators = aggregators or {}
+    cols = state.columns + ["_out"]
+    carried = [c for c in cols if c != "id"]
+    parts = state.sparkSession.sparkContext.defaultParallelism
+    out = edges.groupBy(F.col("src").alias("id")).agg(F.collect_list("dst").alias("_out"))
+    cur, aggs = _checkpoint(state.join(out, "id", "left"), aggregators)
+    metrics = {
+        "_delta": F.sum(F.abs(F.col("value") - F.col("_prev"))),
+        **aggregators,
+    }
     delta = float("inf")
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        joined = cur.join(edges, cur["id"] == edges["src"], "inner")
-        msgs = (
-            send_msg(joined)
-            .groupBy(F.col("dst").alias("id"))
-            .agg(agg_msgs(F.col("msg")).alias("msg"))
-        )
-        nxt = update(cur, msgs).localCheckpoint(eager=True)
-        if finalize is not None:
-            nxt = finalize(nxt)
-        if it % check_every == 0 or it == max_iter:
-            delta = (
-                nxt.alias("n")
-                .join(cur.alias("c"), "id", "outer")
-                .select(
-                    F.abs(
-                        F.coalesce(F.col("n.value"), F.lit(0.0))
-                        - F.coalesce(F.col("c.value"), F.lit(0.0))
-                    ).alias("d")
-                )
-                .agg(F.sum("d"))
-                .first()[0]
-                or 0.0
+        msgs = send_msg(cur.select(*cols, F.explode("_out").alias("dst")))
+        grouped = (
+            cur.select(*cols, F.lit(True).alias("_own"))
+            .unionByName(
+                msgs.select(F.col("dst").alias("id"), "msg"),
+                allowMissingColumns=True,
             )
-            if delta <= tol:
-                cur = nxt
-                converged = True
-                break
-        cur = nxt
-    return PregelResult(state=cur, iterations=it, delta=delta, converged=converged)
+            .repartition(parts, "id")
+            .groupBy("id")
+            .agg(
+                agg_msgs(F.col("msg")).alias("msg"),
+                F.max("_own").alias("_own"),
+                *(F.first(c, ignorenulls=True).alias(c) for c in carried),
+            )
+            .filter("_own")
+        )
+        nxt = grouped.select(
+            *(update(aggs).alias(c) if c == "value" else c for c in cols),
+            F.col("value").alias("_prev"),
+        )
+        cur, observed = _checkpoint(nxt, metrics)
+        delta = observed.pop("_delta") or 0.0
+        aggs = observed
+        if delta <= tol:
+            converged = True
+            break
+    return PregelResult(
+        state=cur.select(*state.columns), iterations=it, delta=delta, converged=converged
+    )
 
 
 def iterate_frontier(

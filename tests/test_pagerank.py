@@ -110,6 +110,12 @@ def test_invalid_alpha_raises(spark):
         pagerank(g, alpha=1.5)
 
 
+def test_max_iter_warns(spark):
+    g = DiGraph.from_edges(spark, RANDOM_A)
+    with pytest.warns(RuntimeWarning, match=r"max_iter=2 after 2 supersteps"):
+        pagerank(g, max_iter=2)
+
+
 # -- CheiRank -----------------------------------------------------------
 
 

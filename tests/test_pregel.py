@@ -21,10 +21,8 @@ def _send_value(joined):
     return joined.select("dst", F.col("value").alias("msg"))
 
 
-def _replace_with_msg(cur, msgs):
-    return cur.drop("value").join(msgs, "id", "left").select(
-        "id", F.coalesce("msg", F.lit(0.0)).alias("value")
-    )
+def _replace_with_msg(aggs):
+    return F.coalesce("msg", F.lit(0.0))
 
 
 def test_one_superstep_rotates_cycle(spark):
@@ -97,19 +95,20 @@ def test_vertex_without_messages_keeps_update_semantics(spark):
     assert got[1] == 5.0
 
 
-def test_finalize_applied_each_superstep(spark):
-    """A finalize that doubles values composes with the superstep."""
+def test_aggregator_reaches_next_superstep(spark):
+    """An aggregator observed on one state is read by the next update."""
     res = pregel(
         _state(spark, {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}),
         _edges(spark, CYCLE4),
         _send_value,
-        _replace_with_msg,
-        finalize=lambda df: df.select("id", (F.col("value") * 2).alias("value")),
+        lambda aggs: F.coalesce("msg", F.lit(0.0)) + aggs["total"],
+        aggregators={"total": F.sum("value")},
         max_iter=2,
         tol=0.0,
     )
     got = {r["id"]: r["value"] for r in res.state.collect()}
-    assert got == {0: 4.0, 1: 4.0, 2: 4.0, 3: 4.0}
+    # step 1: 1 + Σ(initial) = 1 + 4; step 2: 5 + Σ(step 1) = 5 + 20
+    assert got == {0: 25.0, 1: 25.0, 2: 25.0, 3: 25.0}
 
 
 def test_agg_max_messages(spark):
@@ -124,6 +123,55 @@ def test_agg_max_messages(spark):
     )
     got = {r["id"]: r["value"] for r in res.state.collect()}
     assert got[2] == 7.0
+
+
+def test_agg_max_ignores_own_row(spark):
+    """The vertex's own row carries no message: max of negatives wins."""
+    edges = [(0, 2), (1, 2)]
+    res = pregel(
+        _state(spark, {0: -3.0, 1: -7.0, 2: 0.0}),
+        _edges(spark, edges),
+        _send_value,
+        _replace_with_msg,
+        agg_msgs=F.max,
+        max_iter=1,
+    )
+    got = {r["id"]: r["value"] for r in res.state.collect()}
+    assert got[2] == -3.0
+
+
+def test_message_to_unknown_id_dropped(spark):
+    res = pregel(
+        _state(spark, {0: 1.0, 1: 2.0}),
+        _edges(spark, [(0, 1), (1, 5)]),
+        _send_value,
+        _replace_with_msg,
+        max_iter=1,
+    )
+    got = {r["id"]: r["value"] for r in res.state.collect()}
+    assert got == {0: 0.0, 1: 1.0}
+
+
+def test_two_jobs_per_superstep(spark):
+    """Each superstep is one shuffle and one checkpoint: at most two jobs."""
+    steps, prep = 6, 4
+    sc = spark.sparkContext
+    group = "test_two_jobs_per_superstep"
+    sc.setJobGroup(group, group)
+    try:
+        res = pregel(
+            _state(spark, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}),
+            _edges(spark, CYCLE4),
+            _send_value,
+            _replace_with_msg,
+            max_iter=steps,
+            tol=0.0,
+        )
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    assert res.iterations == steps
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 2 * steps + prep
 
 
 # -- iterate_frontier ---------------------------------------------------
